@@ -191,13 +191,7 @@ void WriteJson(const std::vector<WorkloadResult>& results, double aggregate) {
                  static_cast<unsigned long long>(r.plan_cache_misses),
                  static_cast<unsigned long long>(r.plan_cache_invalidations));
   }
-  // The seed figure this line is measured against is the 60.97
-  // "queries_per_sec" BENCH_sim_throughput.json reported before this bench
-  // existed (calibration cells/sec — deprecated there, promoted here as
-  // real end-to-end queries/sec).
-  std::fprintf(f, "  \"queries_per_sec\": %.2f,\n", aggregate);
-  std::fprintf(f, "  \"seed_queries_per_sec\": 60.97,\n");
-  std::fprintf(f, "  \"speedup_vs_seed\": %.2f\n", aggregate / 60.97);
+  std::fprintf(f, "  \"queries_per_sec\": %.2f\n", aggregate);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());

@@ -1,7 +1,9 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/math_utils.h"
@@ -372,17 +374,15 @@ Database::QueryTerminal ClassifyTerminal(const Status& st, bool admitted) {
   }
 }
 
-/// One query's whole life: wait for its arrival, flow through admission,
-/// execute at the granted DOP, release, classify. The QueryContext lives in
-/// this frame, outliving every operator/pool interaction of the query.
+/// One query's whole life from its arrival (RunWorkload spawns it then):
+/// flow through admission, execute at the granted DOP, release, classify.
+/// The QueryContext lives in this frame, outliving every operator/pool
+/// interaction of the query.
 sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
                          const Database::QueryRequest& req,
                          const exec::ScanSpec& base_spec,
                          Database::QueryReport& out, sim::Latch& all_done) {
   sim::Simulator& sim = db.simulator();
-  if (req.arrival_us > sim.Now()) {
-    co_await sim::Delay(sim, req.arrival_us - sim.Now());
-  }
   io::QueryContext query(sim);
   query.pinned_frame_quota = req.pinned_frame_quota;
   query.queue_depth_share = req.queue_depth_share;
@@ -467,6 +467,65 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
   all_done.CountDown();
 }
 
+/// Feeds a workload's future arrivals into the event queue one at a time
+/// (DESIGN.md §9). `Add` reserves the sequence number an eager
+/// `Delay(arrival - Now())` would have taken at that point of the request
+/// walk; each arrival event spawns its query and schedules the next arrival
+/// under its own reservation. Every arrival therefore executes at the
+/// (time, seq) key it always had — traces stay bit-identical — while the
+/// event heap and the live coroutine frames hold only the queries in flight
+/// plus one pending arrival, not one parked query per request.
+template <typename Spawn>
+class ArrivalFeed {
+ public:
+  ArrivalFeed(sim::Simulator& sim, Spawn spawn)
+      : sim_(sim), spawn_(std::move(spawn)) {}
+  // Scheduled arrival events hold `this`.
+  ArrivalFeed(const ArrivalFeed&) = delete;
+  ArrivalFeed& operator=(const ArrivalFeed&) = delete;
+
+  /// Queues request `index` to arrive `delay` after Now(). Taking the delay,
+  /// not the absolute time, keeps the event time the exact double
+  /// `Now() + delay` that `Delay`/`ScheduleAfter` compute, which can differ
+  /// from the caller's absolute time in the last bit.
+  void Add(double delay, size_t index) {
+    arrivals_.push_back({sim_.Now() + delay, sim_.ReserveSeq(), index});
+  }
+
+  /// Orders the arrivals as the event queue would and schedules the first.
+  void Start() {
+    std::sort(arrivals_.begin(), arrivals_.end(),
+              [](const Arrival& a, const Arrival& b) {
+                return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+              });
+    ScheduleNext();
+  }
+
+ private:
+  struct Arrival {
+    sim::SimTime at;
+    uint64_t seq;
+    size_t index;
+  };
+
+  void ScheduleNext() {
+    if (next_ == arrivals_.size()) return;
+    const Arrival& a = arrivals_[next_];
+    sim_.ScheduleReserved(a.at, a.seq, [this] { Fire(); });
+  }
+
+  void Fire() {
+    const size_t index = arrivals_[next_++].index;
+    ScheduleNext();
+    spawn_(index);
+  }
+
+  sim::Simulator& sim_;
+  Spawn spawn_;
+  std::vector<Arrival> arrivals_;
+  size_t next_ = 0;
+};
+
 }  // namespace
 
 StatusOr<Database::WorkloadReport> Database::RunWorkload(
@@ -478,6 +537,9 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
   std::vector<exec::ScanSpec> specs;
   specs.reserve(requests.size());
   for (const QueryRequest& req : requests) {
+    if (!std::isfinite(req.arrival_us)) {
+      return Status::InvalidArgument("arrival_us must be finite");
+    }
     if (req.arrival_us < sim_.Now()) {
       return Status::InvalidArgument("arrival_us in the simulated past");
     }
@@ -491,10 +553,21 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
   WorkloadReport report;
   report.queries.resize(requests.size());
   sim::Latch all_done(sim_, static_cast<int64_t>(requests.size()));
-  for (size_t i = 0; i < requests.size(); ++i) {
+  auto spawn = [&](size_t i) {
     QueryLifecycle(*this, *admission_, requests[i], specs[i],
                    report.queries[i], all_done).Detach();
+  };
+  // Queries already due start inline, in request order; the rest arrive
+  // through the feed. Both consume sequence numbers in request order.
+  ArrivalFeed feed(sim_, spawn);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].arrival_us > sim_.Now()) {
+      feed.Add(requests[i].arrival_us - sim_.Now(), i);
+    } else {
+      spawn(i);
+    }
   }
+  feed.Start();
   sim_.Run();
   PIOQO_CHECK(all_done.done()) << "workload did not drain";
 

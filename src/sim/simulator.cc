@@ -148,6 +148,7 @@ bool Simulator::Step() {
   ReleaseSlot(slot);
   --num_pending_;
   now_ = TimeOf(node);
+  last_executed_ = node;
   ++executed_;
   // The node's high word *is* the executed time's IEEE-754 bit pattern —
   // the exact value the hash has always been fed.

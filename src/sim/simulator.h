@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "sim/inline_function.h"
 
@@ -96,6 +97,41 @@ class Simulator {
     return token;
   }
 
+  /// Reserves the sequence number the next scheduled event would receive,
+  /// for an event that is only known *now* but scheduled *later* with
+  /// `ScheduleReserved`. The event then runs under the same (time, seq) key
+  /// an immediate `ScheduleAt` would have given it, so its tie-breaks and
+  /// the trace hash are unchanged. This lets a producer feed a long sorted
+  /// stream of future events one at a time, keeping one pending event
+  /// instead of one per item (Database::RunWorkload's arrivals, DESIGN.md
+  /// §9). Reserving alone schedules nothing and does not count as pending.
+  uint64_t ReserveSeq() {
+    const uint64_t seq = NextSeq();
+    reserved_seqs_.Insert(seq, 0);
+    return seq;
+  }
+
+  /// Schedules `cb` at absolute time `t` under `seq`, a number returned by
+  /// `ReserveSeq` and not yet used. The (t, seq) key must still lie ahead of
+  /// the event being executed: a time before Now(), or a same-instant key
+  /// the queue has already passed, is rejected (not clamped), because the
+  /// event could no longer run where the reservation placed it.
+  template <typename F>
+  void ScheduleReserved(SimTime t, uint64_t seq, F&& cb) {
+    PIOQO_CHECK(t >= now_) << "reserved event at " << t
+                           << " is before Now() = " << now_;
+    PIOQO_CHECK(reserved_seqs_.Erase(seq))
+        << "sequence number " << seq << " was not reserved (or already used)";
+    const uint32_t slot = AcquireSlot();
+    const HeapNode node = MakeNode(t, (seq << kKeySlotBits) | slot);
+    PIOQO_CHECK(executed_ == 0 || !EarlierThan(node, last_executed_))
+        << "reserved event (" << t << ", seq " << seq
+        << ") would run after the event it should precede";
+    records_[slot].cb = std::forward<F>(cb);
+    HeapPush(node);
+    ++num_pending_;
+  }
+
   /// Cancels a pending cancellable event. Returns true if the event was
   /// still pending (and is now guaranteed never to run), false if it
   /// already fired or was already cancelled. Tokens are generation-checked:
@@ -162,11 +198,12 @@ class Simulator {
   static HeapNode MakeNode(SimTime t, uint64_t key) {
     return HeapNode{(static_cast<unsigned __int128>(TimeBits(t)) << 64) | key};
   }
-  uint64_t NextKey(uint32_t slot) {
+  uint64_t NextSeq() {
     PIOQO_CHECK((next_seq_ >> (64 - kKeySlotBits)) == 0)
         << "sequence counter exceeded 2^40 events";
-    return (next_seq_++ << kKeySlotBits) | slot;
+    return next_seq_++;
   }
+  uint64_t NextKey(uint32_t slot) { return (NextSeq() << kKeySlotBits) | slot; }
   static SimTime TimeOf(const HeapNode& n) {
     const uint64_t bits = static_cast<uint64_t>(n.ord >> 64);
     SimTime t;
@@ -237,6 +274,10 @@ class Simulator {
   std::vector<HeapNode> heap_;
   std::vector<EventRecord> records_;
   std::vector<uint32_t> free_slots_;
+  /// Key of the most recently executed event (valid once executed_ > 0).
+  HeapNode last_executed_{0};
+  /// Sequence numbers handed out by ReserveSeq and not yet scheduled.
+  FlatIntMap<uint8_t> reserved_seqs_;
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;

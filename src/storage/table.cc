@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/logging.h"
 #include "common/math_utils.h"
 
 namespace pioqo::storage {
@@ -40,24 +39,6 @@ StatusOr<Table> Table::Create(DiskImage& disk, std::string name,
     WritePageHeader(disk.PageData(t.first_page_ + p), h);
   }
   return t;
-}
-
-uint16_t Table::RowsInPage(PageId page) const {
-  PIOQO_CHECK(page >= first_page_ && page < first_page_ + num_pages_);
-  const uint32_t index = page - first_page_;
-  if (index + 1 < num_pages_) return static_cast<uint16_t>(rows_per_page_);
-  const uint64_t remainder = num_rows_ - static_cast<uint64_t>(index) * rows_per_page_;
-  return static_cast<uint16_t>(remainder);
-}
-
-int32_t Table::GetColumn(const char* page_data, uint16_t slot, int col) const {
-  int32_t v;
-  std::memcpy(&v,
-              page_data + kPageHeaderSize +
-                  static_cast<size_t>(slot) * schema_.row_size +
-                  schema_.ColumnOffset(col),
-              sizeof(v));
-  return v;
 }
 
 void Table::SetColumn(char* page_data, uint16_t slot, int col,

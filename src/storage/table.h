@@ -2,8 +2,10 @@
 #define PIOQO_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "storage/disk_image.h"
 #include "storage/page.h"
@@ -53,10 +55,27 @@ class Table {
   }
 
   /// Number of rows actually stored in `page` (the last page may be short).
-  uint16_t RowsInPage(PageId page) const;
+  /// Defined inline, like GetColumn: the scan row loops call it per page
+  /// and GetColumn per column read, hundreds of millions of times a run.
+  uint16_t RowsInPage(PageId page) const {
+    PIOQO_CHECK(page >= first_page_ && page < first_page_ + num_pages_);
+    const uint32_t index = page - first_page_;
+    if (index + 1 < num_pages_) return static_cast<uint16_t>(rows_per_page_);
+    const uint64_t remainder =
+        num_rows_ - static_cast<uint64_t>(index) * rows_per_page_;
+    return static_cast<uint16_t>(remainder);
+  }
 
   /// Reads column `col` of row `slot` from raw page bytes.
-  int32_t GetColumn(const char* page_data, uint16_t slot, int col) const;
+  int32_t GetColumn(const char* page_data, uint16_t slot, int col) const {
+    int32_t v;
+    std::memcpy(&v,
+                page_data + kPageHeaderSize +
+                    static_cast<size_t>(slot) * schema_.row_size +
+                    schema_.ColumnOffset(col),
+                sizeof(v));
+    return v;
+  }
 
   /// Writes column `col` of row `slot` (build time only).
   void SetColumn(char* page_data, uint16_t slot, int col, int32_t value) const;

@@ -1,5 +1,8 @@
 #include "db/database.h"
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "db/experiment_config.h"
@@ -85,6 +88,29 @@ TEST(DatabaseTest, RejectsBadParallelDegree) {
       db.ExecuteScan("t", {0, 10}, core::AccessMethod::kFts, 0, 0, true).ok());
   EXPECT_FALSE(
       db.ExecuteScan("t", {0, 10}, core::AccessMethod::kFts, 64, 0, true).ok());
+}
+
+TEST(DatabaseTest, RunWorkloadRejectsNonFiniteArrivals) {
+  // NaN compares false against Now(), so it used to slip past the
+  // "simulated past" check and run at once with a NaN latency; an infinite
+  // arrival would drive the clock to infinity. Both are rejected up front,
+  // before any query of the workload starts.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Database db(SmallSsd());
+    ASSERT_TRUE(db.CreateTable(SmallTable("t", 1000, 33)).ok());
+    db.EnableAdmissionControl({});
+    std::vector<Database::QueryRequest> requests(2);
+    for (auto& req : requests) {
+      req.scan = {"t", {0, 10}, core::AccessMethod::kFts, 1, 0};
+    }
+    requests[1].arrival_us = bad;
+    auto report = db.RunWorkload(requests, /*flush_pool=*/true);
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(db.simulator().num_executed(), 0u) << bad;
+    EXPECT_DOUBLE_EQ(db.simulator().Now(), 0.0) << bad;
+  }
 }
 
 TEST(DatabaseTest, OptimizedQueryRunsChosenPlan) {

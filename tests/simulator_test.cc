@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -208,6 +210,170 @@ TEST(SimulatorTest, PendingCountTracksCancellation) {
   sim.Run();
   EXPECT_EQ(sim.num_pending(), 0u);
   EXPECT_EQ(sim.num_executed(), 1u);
+}
+
+// --- Reserve now, schedule later -----------------------------------------
+
+/// Runs one scenario two ways: `defer == false` schedules every event
+/// eagerly; `defer == true` only reserves sequence numbers for "b" (tied
+/// with "a" and "c" at t=5), "e" (t=8) and "f" (t=2, tied with the event
+/// that schedules it) and schedules them later, from inside "d". Returns
+/// the execution order and the trace hash.
+std::pair<std::string, uint64_t> ReserveScenario(bool defer) {
+  Simulator sim;
+  std::string order;
+  auto log = [&order](char c) { return [&order, c] { order += c; }; };
+  sim.ScheduleAt(5.0, log('a'));
+  uint64_t seq_b = 0;
+  if (defer) {
+    seq_b = sim.ReserveSeq();
+  } else {
+    sim.ScheduleAt(5.0, log('b'));
+  }
+  sim.ScheduleAt(5.0, log('c'));
+  uint64_t seq_e = 0;
+  if (defer) {
+    seq_e = sim.ReserveSeq();
+  } else {
+    sim.ScheduleAt(8.0, log('e'));
+  }
+  sim.ScheduleAt(2.0, [&] {
+    order += 'd';
+    if (defer) {
+      sim.ScheduleReserved(8.0, seq_e, log('e'));
+      sim.ScheduleReserved(2.0, sim.ReserveSeq(), log('f'));
+      sim.ScheduleReserved(5.0, seq_b, log('b'));
+    } else {
+      sim.ScheduleAt(2.0, log('f'));
+    }
+  });
+  sim.Run();
+  return {order, sim.trace_hash()};
+}
+
+TEST(SimulatorTest, ReservedEventRunsWhereEagerScheduleWould) {
+  const auto eager = ReserveScenario(false);
+  const auto deferred = ReserveScenario(true);
+  EXPECT_EQ(eager.first, "dfabce");
+  EXPECT_EQ(deferred.first, eager.first);
+  EXPECT_EQ(deferred.second, eager.second);
+}
+
+TEST(SimulatorTest, ReservedSortedStreamMatchesEagerTrace) {
+  // The RunWorkload pattern: reserve one number per item in input order,
+  // then feed the items in (time, seq) order, one pending at a time, while
+  // unrelated events interleave. Same order and hash as eager scheduling.
+  const std::vector<double> times = {40, 10, 25, 10, 0, 25, 70, 10};
+  auto run = [&times](bool defer) {
+    Simulator sim;
+    std::vector<int> order;
+    struct Item {
+      double at;
+      uint64_t seq;
+      int id;
+    };
+    std::vector<Item> items;
+    for (int i = 0; i < static_cast<int>(times.size()); ++i) {
+      if (defer) {
+        items.push_back({times[i], sim.ReserveSeq(), i});
+      } else {
+        sim.ScheduleAt(times[i], [&order, i] { order.push_back(i); });
+      }
+      sim.ScheduleAt(times[i] / 2, [&order, i] { order.push_back(100 + i); });
+    }
+    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+      return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+    });
+    size_t next = 0;
+    std::function<void()> feed = [&] {
+      if (next == items.size()) return;
+      const Item item = items[next++];
+      sim.ScheduleReserved(item.at, item.seq, [&, item] {
+        order.push_back(item.id);
+        feed();
+      });
+    };
+    if (defer) {
+      feed();
+      EXPECT_EQ(sim.num_pending(), times.size() + 1);
+    } else {
+      EXPECT_EQ(sim.num_pending(), 2 * times.size());
+    }
+    sim.Run();
+    return std::make_pair(order, sim.trace_hash());
+  };
+  const auto eager = run(false);
+  const auto deferred = run(true);
+  EXPECT_EQ(deferred.first, eager.first);
+  EXPECT_EQ(deferred.second, eager.second);
+}
+
+TEST(SimulatorTest, ReservingIsNotPendingAndLeavesCancellationAlone) {
+  struct Outcome {
+    int fired;
+    uint64_t executed;
+    uint64_t hash;
+  };
+  auto run = [](bool defer) {
+    Simulator sim;
+    int fired = 0;
+    const uint64_t token =
+        sim.ScheduleCancellableAfter(50.0, [&fired] { fired += 100; });
+    uint64_t seq = 0;
+    if (defer) {
+      seq = sim.ReserveSeq();
+      EXPECT_EQ(sim.num_pending(), 1u);  // a reservation schedules nothing
+    } else {
+      sim.ScheduleAt(30.0, [&fired] { ++fired; });
+      EXPECT_EQ(sim.num_pending(), 2u);
+    }
+    sim.ScheduleAfter(10.0, [&] {
+      ++fired;
+      EXPECT_TRUE(sim.Cancel(token));
+      if (defer) {
+        const size_t before = sim.num_pending();
+        sim.ScheduleReserved(30.0, seq, [&fired] { ++fired; });
+        EXPECT_EQ(sim.num_pending(), before + 1);
+      }
+      EXPECT_FALSE(sim.Cancel(token));
+    });
+    sim.Run();
+    EXPECT_EQ(sim.num_pending(), 0u);
+    return Outcome{fired, sim.num_executed(), sim.trace_hash()};
+  };
+  const Outcome eager = run(false);
+  const Outcome deferred = run(true);
+  EXPECT_EQ(eager.fired, 2);
+  EXPECT_EQ(deferred.fired, eager.fired);
+  EXPECT_EQ(deferred.executed, eager.executed);
+  EXPECT_EQ(deferred.hash, eager.hash);
+}
+
+TEST(SimulatorDeathTest, ReservedEventBeforeNowIsRejected) {
+  Simulator sim;
+  const uint64_t seq = sim.ReserveSeq();
+  sim.ScheduleAt(10.0, [] {});
+  sim.Run();
+  EXPECT_DEATH(sim.ScheduleReserved(5.0, seq, [] {}), "before Now");
+}
+
+TEST(SimulatorDeathTest, UnreservedSequenceNumberIsRejected) {
+  Simulator sim;
+  sim.ScheduleAt(1.0, [] {});  // takes seq 0
+  const uint64_t seq = sim.ReserveSeq();
+  EXPECT_DEATH(sim.ScheduleReserved(5.0, 0, [] {}), "not reserved");
+  EXPECT_DEATH(sim.ScheduleReserved(5.0, seq + 1, [] {}), "not reserved");
+  sim.ScheduleReserved(5.0, seq, [] {});
+  EXPECT_DEATH(sim.ScheduleReserved(6.0, seq, [] {}), "not reserved");
+}
+
+TEST(SimulatorDeathTest, ReservedKeyAlreadyPassedIsRejected) {
+  // Reserved before the running event was scheduled, so at the same instant
+  // it should have run first; scheduling it now is too late.
+  Simulator sim;
+  const uint64_t seq = sim.ReserveSeq();
+  sim.ScheduleAt(3.0, [&] { sim.ScheduleReserved(3.0, seq, [] {}); });
+  EXPECT_DEATH(sim.Run(), "would run after");
 }
 
 Task CountingCoroutine(Simulator& sim, std::vector<double>& times, int hops) {

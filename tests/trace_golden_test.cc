@@ -23,15 +23,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "core/calibrator.h"
 #include "db/database.h"
 #include "exec/join_operators.h"
 #include "io/device_factory.h"
+#include "sim/sim_checks.h"
 #include "sim/simulator.h"
 #include "storage/data_generator.h"
 
@@ -121,6 +125,99 @@ uint64_t CalibrationScenario(io::DeviceKind kind) {
   return sim.trace_hash();
 }
 
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// An open-loop workload through Database::RunWorkload, in two calls. The
+/// requests are listed out of arrival order, share arrival instants, include
+/// queries due exactly at Now() (at time zero, and again when the second
+/// call starts mid-timeline), carry deadlines that fire and cancellations
+/// that land mid-query, and queue behind a tight admission budget. The
+/// result folds every query's terminal state and latency into the trace
+/// hash, so it pins both the event order and the per-query outcomes.
+uint64_t WorkloadScenario(io::DeviceKind kind) {
+  db::DatabaseOptions opts;
+  opts.device = kind;
+  opts.pool_pages = 512;
+  db::Database db(opts);
+
+  storage::DatasetConfig cfg;
+  cfg.name = "t";
+  cfg.num_rows = 20000;
+  cfg.rows_per_page = 33;
+  cfg.c2_domain = 1 << 24;
+  cfg.seed = 42;
+  PIOQO_CHECK_OK(db.CreateTable(cfg));
+  db::AdmissionOptions admission;
+  admission.max_concurrent_queries = 2;
+  admission.max_total_dop = 8;
+  db.EnableAdmissionControl(admission);
+
+  using core::AccessMethod;
+  auto request = [&](AccessMethod method, int dop, int prefetch, double sel,
+                     double arrival_us) {
+    db::Database::QueryRequest req;
+    req.scan = {"t",
+                {0, storage::C2UpperBoundForSelectivity(cfg.c2_domain, sel)},
+                method, dop, prefetch};
+    req.arrival_us = arrival_us;
+    return req;
+  };
+
+  uint64_t h = 0;
+  size_t completed = 0;
+  size_t timed_out = 0;
+  size_t cancelled = 0;
+  auto run = [&](std::vector<db::Database::QueryRequest> requests) {
+    auto report = db.RunWorkload(requests, /*flush_pool=*/false);
+    PIOQO_CHECK_OK(report.status());
+    completed += report->completed;
+    timed_out += report->timed_out;
+    cancelled += report->cancelled;
+    for (const auto& q : report->queries) {
+      h = Mix64(h ^ static_cast<uint64_t>(q.terminal));
+      h = Mix64(h ^ DoubleBits(q.latency_us));
+      h = Mix64(h ^ q.rows_matched);
+    }
+  };
+
+  std::vector<db::Database::QueryRequest> first = {
+      request(AccessMethod::kPis, 4, 4, 0.01, 4000.0),
+      request(AccessMethod::kIs, 1, 0, 0.002, 0.0),
+      request(AccessMethod::kFts, 1, 32, 0.05, 1500.0),
+      request(AccessMethod::kPis, 8, 0, 0.02, 1500.0),
+      request(AccessMethod::kIs, 1, 0, 0.005, 0.0),
+      request(AccessMethod::kPfts, 4, 0, 0.1, 9000.0),
+      request(AccessMethod::kIs, 1, 0, 0.001, 700.0),
+      request(AccessMethod::kPis, 2, 2, 0.01, 4000.0),
+  };
+  first[3].timeout_us = 2000.0;
+  first[5].cancel_at_us = 12000.0;
+  first[6].cancel_at_us = 900.0;
+  first[7].timeout_us = 1e9;
+  run(std::move(first));
+
+  const double t = db.simulator().Now();
+  std::vector<db::Database::QueryRequest> second = {
+      request(AccessMethod::kIs, 1, 0, 0.003, t + 2500.0),
+      request(AccessMethod::kPis, 4, 4, 0.02, t),
+      request(AccessMethod::kFts, 1, 16, 0.2, t + 500.0),
+      request(AccessMethod::kIs, 1, 0, 0.001, t),
+      request(AccessMethod::kPis, 4, 0, 0.01, t + 500.0),
+  };
+  second[2].timeout_us = 3000.0;
+  second[4].cancel_at_us = t + 1500.0;
+  run(std::move(second));
+  // The scenario must keep exercising every terminal path it was built for.
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(timed_out, 0u);
+  EXPECT_GT(cancelled, 0u);
+  return Mix64(h ^ db.simulator().trace_hash());
+}
+
 struct Golden {
   const char* scenario;
   io::DeviceKind kind;
@@ -142,6 +239,14 @@ const Golden kGoldens[] = {
      0x36c266d188564212ULL},
     {"calibration", io::DeviceKind::kRaid8, CalibrationScenario,
      0x4df469592f6e6aa0ULL},
+    // Recorded from the engine that parked every query in a Delay until its
+    // arrival (commit 4ab3c9e), before arrivals were scheduled on demand.
+    {"workload", io::DeviceKind::kHdd7200, WorkloadScenario,
+     0x198b56fab289f714ULL},
+    {"workload", io::DeviceKind::kSsdConsumer, WorkloadScenario,
+     0xffa9ce3f64188b1dULL},
+    {"workload", io::DeviceKind::kRaid8, WorkloadScenario,
+     0xca8e003fc79354c5ULL},
 };
 
 TEST(TraceGoldenTest, MatchesSeedImplementation) {
@@ -157,6 +262,7 @@ TEST(TraceGoldenTest, MatchesSeedImplementation) {
                                                            : "Raid8",
                   g.scenario[0] == 's'   ? "Scan"
                   : g.scenario[0] == 'j' ? "Join"
+                  : g.scenario[0] == 'w' ? "Workload"
                                          : "Calibration",
                   static_cast<unsigned long long>(actual));
       continue;
@@ -166,6 +272,66 @@ TEST(TraceGoldenTest, MatchesSeedImplementation) {
         << ": trace diverged from the seed engine (rerun with "
            "PIOQO_PRINT_TRACE_GOLDENS=1 to regenerate after a deliberate "
            "timing-model change)";
+  }
+}
+
+/// RunWorkload's memory must scale with the queries in flight, not with the
+/// workload: 5000 short lookups spaced far apart leave at most a couple in
+/// flight at any instant, so a probe halfway through the timeline must see
+/// only their events and coroutine frames — not thousands of parked future
+/// arrivals.
+TEST(TraceGoldenTest, WorkloadFootprintIsBoundedByInFlightQueries) {
+  db::DatabaseOptions opts;
+  opts.device = io::DeviceKind::kSsdConsumer;
+  db::Database db(opts);
+  storage::DatasetConfig cfg;
+  cfg.name = "t";
+  cfg.num_rows = 20000;
+  cfg.c2_domain = 1 << 24;
+  PIOQO_CHECK_OK(db.CreateTable(cfg));
+  db.EnableAdmissionControl({});
+
+  constexpr size_t kQueries = 5000;
+  constexpr double kSpacingUs = 2000.0;
+  std::vector<db::Database::QueryRequest> requests(kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    requests[i].scan = {
+        "t",
+        {0, storage::C2UpperBoundForSelectivity(cfg.c2_domain, 0.0005)},
+        core::AccessMethod::kIs,
+        1,
+        0};
+    requests[i].arrival_us = static_cast<double>(i) * kSpacingUs;
+  }
+
+  const double probe_us = (kQueries / 2) * kSpacingUs + kSpacingUs / 4;
+  const size_t frames_before = sim::checks::NumLiveFrames();
+  size_t pending_at_probe = 0;
+  size_t frames_at_probe = 0;
+  db.simulator().ScheduleAt(probe_us, [&] {
+    pending_at_probe = db.simulator().num_pending();
+    frames_at_probe = sim::checks::NumLiveFrames() - frames_before;
+  });
+  auto report = db.RunWorkload(requests, /*flush_pool=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->completed, kQueries);
+
+  size_t in_flight = 0;
+  for (size_t i = 0; i < kQueries; ++i) {
+    const double arrival = requests[i].arrival_us;
+    if (arrival <= probe_us &&
+        probe_us < arrival + report->queries[i].latency_us) {
+      ++in_flight;
+    }
+  }
+  // A lookup in flight holds a handful of events (its I/O, CPU burst, the
+  // next arrival) and frames (lifecycle, scan worker); 16 each is generous
+  // and still two orders of magnitude below the 2500 future arrivals.
+  constexpr size_t kPerQuery = 16;
+  EXPECT_LE(in_flight, 2u);
+  EXPECT_LE(pending_at_probe, kPerQuery * (in_flight + 1));
+  if (sim::checks::Enabled()) {
+    EXPECT_LE(frames_at_probe, kPerQuery * (in_flight + 1));
   }
 }
 
